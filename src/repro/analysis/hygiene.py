@@ -13,6 +13,7 @@ __all__ = [
     "check_mutable_defaults",
     "check_silent_except",
     "check_all_drift",
+    "check_raw_persistence",
 ]
 
 #: Base classes that manage their own storage layout (``__slots__`` is
@@ -277,4 +278,71 @@ def check_all_drift(ctx) -> List:
                 "or rename it _private)",
             )
         )
+    return findings
+
+
+#: Modules whose files reach disk only through ``repro.persist`` (RPR305).
+#: A fixed policy of the tree, not a configurable scope.
+_PERSIST_ONLY_PATHS = ("repro/service/*", "repro/experiments/*", "repro/obs/manifest.py")
+
+#: Calls that re-implement a ``repro.persist`` primitive.
+_PERSIST_PRIMITIVES = {
+    "os.replace": "write_atomic/quarantine",
+    "tempfile.mkstemp": "write_atomic",
+    "hashlib.sha256": "digest",
+}
+
+
+def _literal_write_mode(node: Optional[ast.AST]) -> bool:
+    """A string literal that is a file mode (not a file name) and writes."""
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and set(node.value) <= set("rwxabt+")
+        and bool(set(node.value) & set("wax+"))
+    )
+
+
+def _opens_for_writing(ctx, call: ast.Call) -> bool:
+    """``open``/``io.open``/``os.fdopen``/``<path>.open`` with a write mode."""
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    func = call.func
+    resolved = ctx.imports.resolve_call(func)
+    if isinstance(func, ast.Name) and func.id == "open" and resolved is None:
+        resolved = "open"
+    if resolved in ("open", "io.open", "os.fdopen"):
+        position = 1
+    elif resolved is None and isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0  # pathlib-style method: the mode comes first
+    else:
+        return False
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    return _literal_write_mode(mode)
+
+
+@rule(
+    "RPR305",
+    "persistence-outside-persist",
+    "service, experiments and manifest code writes and digests files only via repro.persist",
+)
+def check_raw_persistence(ctx) -> List:
+    findings = []
+    if not ctx.config.path_matches(ctx.path, _PERSIST_ONLY_PATHS):
+        return findings
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        resolved = ctx.imports.resolve_call(node.func)
+        if resolved in _PERSIST_PRIMITIVES:
+            replacement = _PERSIST_PRIMITIVES[resolved]
+            message = f"raw {resolved}() outside repro.persist; use persist.{replacement}"
+        elif _opens_for_writing(ctx, node):
+            message = (
+                "write-mode open() outside repro.persist skips fsync and atomic "
+                "rename; use persist.write_atomic or persist.append_line"
+            )
+        else:
+            continue
+        findings.append(ctx.finding(node, "RPR305", message))
     return findings

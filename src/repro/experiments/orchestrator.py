@@ -55,18 +55,17 @@ quarantined (renamed to ``*.corrupt``) and its surviving records resumed.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import multiprocessing
 import os
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence
 
+from .. import persist
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError, ShardExecutionError, SweepCancelled
 from ..obs import manifest as obs_manifest
@@ -215,15 +214,13 @@ class ExperimentGrid:
     @property
     def fingerprint(self) -> str:
         """Hash identifying the grid; a checkpoint is only valid if it matches."""
-        canonical = json.dumps(
+        return persist.digest(
             {
                 "experiment": self.experiment,
                 "shards": list(self.shard_params),
                 "options": self.options,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def describe_grid(
@@ -752,80 +749,34 @@ def _jsonable(value: Any) -> Any:
 
 def _shard_checksum(index: int, payload: Any) -> str:
     """Integrity hash of one checkpoint record (canonical JSON of its content)."""
-    canonical = json.dumps({"index": index, "payload": payload}, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _quarantine_checkpoint(path: str) -> str:
-    """Move a damaged checkpoint aside (``*.corrupt``) so it is never reread.
-
-    The rename keeps the evidence for a post-mortem while guaranteeing the
-    next write starts from a fresh file.  Returns the quarantine path.
-    """
-    quarantined = path + ".corrupt"
-    try:
-        os.replace(path, quarantined)
-        logger.warning("quarantined damaged checkpoint %s -> %s", path, quarantined)
-    except OSError:
-        # Racing writer or permissions: the reload already ignores it.
-        logger.warning("could not quarantine damaged checkpoint %s", path)
-    return quarantined
+    return persist.digest({"index": index, "payload": payload})
 
 
 def _load_checkpoint(checkpoint_dir: str, grid: ExperimentGrid) -> Dict[int, Any]:
     """Payloads of a previous run, or ``{}`` if absent, corrupt or stale.
 
-    Understands two formats: the current checksummed JSON-lines layout
-    (header record + one record per shard) and the legacy single-JSON
-    document.  A damaged file is quarantined (renamed to ``*.corrupt``) and
-    every record that still checksums clean is salvaged — a truncated tail,
-    a bit flip or an interleaved write costs only the damaged shards.  A
+    The checkpoint is a checksummed JSON-lines file: a header record, then
+    one record per shard.  A damaged file — including one without a valid
+    header — is quarantined (:func:`repro.persist.quarantine`) and every
+    record that still checksums clean is salvaged, so a truncated tail, a
+    bit flip or an interleaved write costs only the damaged shards.  A
     stale fingerprint (the grid changed) is not damage: the checkpoint is
-    simply ignored.
+    simply ignored.  Temp files of a writer killed mid-write are removed.
     """
     path = checkpoint_path(checkpoint_dir, grid.experiment)
+    persist.remove_debris(checkpoint_dir, os.path.basename(path))
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            lines = [line for line in handle.read().splitlines() if line.strip()]
     except OSError:
         return {}
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        _quarantine_checkpoint(path)
-        return {}
     try:
-        first = json.loads(lines[0])
+        header = json.loads(lines[0]) if lines else None
     except ValueError:
-        first = None
-    if isinstance(first, dict) and first.get("kind") == "header":
-        return _load_checkpoint_records(path, lines, first, grid)
-    # Legacy layout: the whole file is one JSON document.
-    try:
-        stored = json.loads(text)
-    except ValueError:
-        _quarantine_checkpoint(path)
+        header = None
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        persist.quarantine(path)
         return {}
-    if not isinstance(stored, dict):
-        _quarantine_checkpoint(path)
-        return {}
-    if stored.get("fingerprint") != grid.fingerprint:
-        return {}
-    shards = stored.get("shards", {})
-    try:
-        return {
-            int(index): payload
-            for index, payload in shards.items()
-            if 0 <= int(index) < len(grid.shard_params)
-        }
-    except (AttributeError, TypeError, ValueError):
-        _quarantine_checkpoint(path)
-        return {}
-
-
-def _load_checkpoint_records(
-    path: str, lines: List[str], header: dict, grid: ExperimentGrid
-) -> Dict[int, Any]:
-    """Salvage the shard records of a JSON-lines checkpoint."""
     if header.get("fingerprint") != grid.fingerprint:
         return {}
     completed: Dict[int, Any] = {}
@@ -850,7 +801,7 @@ def _load_checkpoint_records(
             continue
         completed[index] = payload
     if damaged:
-        _quarantine_checkpoint(path)
+        persist.quarantine(path)
     return completed
 
 
@@ -860,7 +811,7 @@ def _write_checkpoint(
     completed: Dict[int, Any],
     stats: Dict[str, int] | None = None,
 ) -> None:
-    """Atomically persist the completed shards (write-to-temp, then rename).
+    """Durably persist the completed shards (:func:`repro.persist.write_atomic`).
 
     JSON-lines layout: a header record identifying the grid, then one
     checksummed record per completed shard, so partial damage is detectable
@@ -868,7 +819,6 @@ def _write_checkpoint(
     the write and its byte volume — telemetry only, never file content, so
     checkpoints stay byte-identical with observability on or off.
     """
-    os.makedirs(checkpoint_dir, exist_ok=True)
     path = checkpoint_path(checkpoint_dir, grid.experiment)
     lines = [
         json.dumps(
@@ -898,18 +848,8 @@ def _write_checkpoint(
         if tracer is not None
         else contextlib.nullcontext()
     )
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=checkpoint_dir, prefix=f".{grid.experiment}.", suffix=".tmp"
-    )
-    try:
-        with span:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(body)
-            os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    with span:
+        persist.write_atomic(path, body)
     if stats is not None:
         stats["checkpoint_writes"] += 1
         stats["checkpoint_bytes"] += len(body)

@@ -42,6 +42,7 @@ import signal
 import sys
 from typing import Callable, Mapping
 
+from .. import persist
 from ..exceptions import SweepCancelled
 from ..obs import manifest as obs_manifest
 from ..obs import tracing as obs_tracing
@@ -324,10 +325,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 print(_metrics_summary(manifest))
             if args.csv:
-                os.makedirs(args.csv, exist_ok=True)
                 path = os.path.join(args.csv, f"{name}.csv")
-                with open(path, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(rows_to_csv(rows))
+                persist.write_atomic(path, rows_to_csv(rows))
                 logger.info("wrote %s", path)
     finally:
         for signum, handler in previous_handlers.items():

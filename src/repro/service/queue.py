@@ -1,10 +1,12 @@
 """Durable job queue: one atomic, checksummed JSON file per job.
 
-Durability model — each job lives at ``<spool>/<job_id>.json`` and every
-state transition rewrites the file atomically (write-to-temp, rename), so
-the on-disk queue is consistent after a crash at *any* instant.  On
-startup :meth:`DurableJobQueue.recover` replays the spool directory:
+Each job lives at ``<spool>/<job_id>.json`` and every state transition
+rewrites the file with :func:`repro.persist.write_atomic`, so the on-disk
+queue is consistent after a crash at *any* instant (see "Durability model"
+in ``docs/ARCHITECTURE.md``).  On startup :meth:`DurableJobQueue.recover`
+replays the spool directory:
 
+* temp files of a write killed before its rename are deleted;
 * records that fail their checksum (truncation, bit flips, garbage) are
   quarantined to ``*.corrupt`` and forgotten — the job is simply gone,
   which is safe because submission is idempotent;
@@ -31,9 +33,9 @@ import threading
 import time
 from typing import Dict, List
 
+from .. import persist
 from ..exceptions import ConfigurationError, JobNotFoundError, QueueFullError
-from .models import Job, JobState, job_checksum
-from .store import quarantine
+from .models import Job, JobState
 
 __all__ = ["DurableJobQueue"]
 
@@ -60,30 +62,22 @@ class DurableJobQueue:
         return os.path.join(self.spool_dir, f"{job_id}.json")
 
     def _persist(self, job: Job) -> None:
-        """Atomically rewrite one job's record (caller holds the lock)."""
+        """Durably rewrite one job's record (caller holds the lock)."""
         payload = job.to_dict()
-        document = {
-            "kind": "job",
-            "job": payload,
-            "checksum": job_checksum(payload),
-        }
-        path = self._job_path(job.job_id)
-        temp_path = path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-        os.replace(temp_path, path)
+        document = {"kind": "job", "job": payload, "checksum": persist.digest(payload)}
+        persist.write_atomic(self._job_path(job.job_id), json.dumps(document) + "\n")
 
     def recover(self) -> List[str]:
         """Replay the spool directory; returns the ids of re-queued jobs.
 
-        Damaged records are quarantined; interrupted (``running``) and
-        backoff-pending (``failed``) jobs return to ``queued`` so the
-        supervisor picks them up again.  Safe to call on a live queue
+        Temp-file debris is deleted and damaged records are quarantined;
+        interrupted (``running``) and backoff-pending (``failed``) jobs
+        return to ``queued`` so the supervisor picks them up again.  Safe to call on a live queue
         (it is invoked from ``__init__`` and by restart tests).
         """
         requeued: List[str] = []
         with self._lock:
+            persist.remove_debris(self.spool_dir)
             self._jobs.clear()
             for name in sorted(os.listdir(self.spool_dir)):
                 if not name.endswith(".json"):
@@ -116,30 +110,24 @@ class DurableJobQueue:
         return requeued
 
     def _read_record(self, path: str) -> Job | None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError:
-            return None
-        except ValueError:
-            quarantine(path)
+        document = persist.read_json(path)
+        if document is None:
             return None
         if (
             not isinstance(document, dict)
             or document.get("kind") != "job"
             or not isinstance(document.get("job"), dict)
-            or document.get("checksum") != job_checksum(document["job"])
+            or document.get("checksum") != persist.digest(document["job"])
         ):
-            quarantine(path)
+            persist.quarantine(path)
             return None
         try:
             job = Job.from_dict(document["job"])
         except (ConfigurationError, KeyError, TypeError, ValueError):
-            quarantine(path)
+            persist.quarantine(path)
             return None
-        expected = os.path.basename(path)[: -len(".json")]
-        if job.job_id != expected:
-            quarantine(path)
+        if job.job_id != os.path.basename(path)[: -len(".json")]:
+            persist.quarantine(path)
             return None
         return job
 

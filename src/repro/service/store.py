@@ -1,6 +1,7 @@
 """Content-addressed, checksummed results store with quarantine-on-corruption.
 
-Two persistence tiers live here:
+Two persistence tiers live here, both writing through :mod:`repro.persist`
+(see "Durability model" in ``docs/ARCHITECTURE.md``):
 
 * :class:`ResultsStore` — one atomic JSON document per sweep fingerprint
   holding a finished job's merged result.  Every read verifies a SHA-256
@@ -19,67 +20,31 @@ Two persistence tiers live here:
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import re
-import tempfile
 import threading
 from dataclasses import asdict
 from typing import Any, Dict, Tuple
 
-__all__ = ["ResultsStore", "PersistentDesignCache", "quarantine"]
+from .. import persist
 
-logger = logging.getLogger("repro.service.store")
+__all__ = ["ResultsStore", "PersistentDesignCache"]
 
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
 
-def _payload_checksum(payload: Any) -> str:
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _atomic_write_json(path: str, document: dict) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-
-
-def quarantine(path: str) -> str:
-    """Move a damaged artefact aside (``*.corrupt``); never re-read it.
-
-    Returns the quarantine path.  Like the orchestrator's checkpoint
-    quarantine, the rename keeps the evidence for a post-mortem while
-    guaranteeing the next write starts from a fresh file.
-    """
-    quarantined = path + ".corrupt"
-    try:
-        os.replace(path, quarantined)
-        logger.warning("quarantined damaged artefact %s -> %s", path, quarantined)
-    except OSError:
-        logger.warning("could not quarantine damaged artefact %s", path)
-    return quarantined
-
-
 class ResultsStore:
-    """Fingerprint-keyed result documents, verified on every read."""
+    """Fingerprint-keyed result documents, verified on every read.
+
+    Opening a store deletes the temp files of writes killed before their
+    rename.
+    """
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
+        persist.remove_debris(root)
         self._lock = threading.Lock()
 
     def path(self, fingerprint: str) -> str:
@@ -88,39 +53,33 @@ class ResultsStore:
         return os.path.join(self.root, f"{fingerprint}.json")
 
     def put(self, fingerprint: str, payload: Any) -> str:
-        """Atomically persist ``payload`` under ``fingerprint``; returns path."""
+        """Durably persist ``payload`` under ``fingerprint``; returns path."""
         path = self.path(fingerprint)
         document = {
             "kind": "result",
             "fingerprint": fingerprint,
             "payload": payload,
-            "checksum": _payload_checksum(payload),
+            "checksum": persist.digest(payload),
         }
         with self._lock:
-            _atomic_write_json(path, document)
+            persist.write_atomic(path, json.dumps(document) + "\n")
         return path
 
     def get(self, fingerprint: str) -> Any | None:
         """The stored payload, or ``None`` on miss *or damage* (quarantined)."""
         path = self.path(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError:
-            return None
-        except ValueError:
-            with self._lock:
-                quarantine(path)
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("kind") != "result"
-            or document.get("fingerprint") != fingerprint
-            or document.get("checksum") != _payload_checksum(document.get("payload"))
-        ):
-            with self._lock:
-                quarantine(path)
-            return None
+        with self._lock:
+            document = persist.read_json(path)
+            if document is None:
+                return None
+            if (
+                not isinstance(document, dict)
+                or document.get("kind") != "result"
+                or document.get("fingerprint") != fingerprint
+                or document.get("checksum") != persist.digest(document.get("payload"))
+            ):
+                persist.quarantine(path)
+                return None
         return document["payload"]
 
     def __contains__(self, fingerprint: str) -> bool:
@@ -150,6 +109,7 @@ class PersistentDesignCache:
         return [str(name), int(n), int(k), float(target_ber)]
 
     def _load(self) -> None:
+        persist.remove_debris(os.path.dirname(self.path) or ".", os.path.basename(self.path))
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
@@ -171,7 +131,7 @@ class PersistentDesignCache:
                 or not isinstance(record.get("key"), list)
                 or len(record["key"]) != 4
                 or record.get("checksum")
-                != _payload_checksum({"key": record.get("key"), "point": record.get("point")})
+                != persist.digest({"key": record.get("key"), "point": record.get("point")})
             ):
                 damaged = True
                 continue
@@ -180,27 +140,14 @@ class PersistentDesignCache:
         with self._lock:
             self._points = salvaged
         if damaged:
-            quarantine(self.path)
+            persist.quarantine(self.path)
             # Rewrite the surviving records so the file is clean again.
             self._rewrite()
 
     def _rewrite(self) -> None:
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
         with self._lock:
             lines = [self._record_line(key, self._points[key]) for key in sorted(self._points)]
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=f".{os.path.basename(self.path)}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line)
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        persist.write_atomic(self.path, "".join(lines))
 
     def _record_line(self, key: Tuple, point: dict) -> str:
         fields = self._key_fields(key)
@@ -208,7 +155,7 @@ class PersistentDesignCache:
             "kind": "design-point",
             "key": fields,
             "point": point,
-            "checksum": _payload_checksum({"key": fields, "point": point}),
+            "checksum": persist.digest({"key": fields, "point": point}),
         }
         return json.dumps(record) + "\n"
 
@@ -245,7 +192,4 @@ class PersistentDesignCache:
                 return
             payload = asdict(point)
             self._points[normalized] = payload
-            directory = os.path.dirname(self.path) or "."
-            os.makedirs(directory, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(self._record_line(normalized, payload))
+            persist.append_line(self.path, self._record_line(normalized, payload))

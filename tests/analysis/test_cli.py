@@ -104,7 +104,7 @@ class TestFlags:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RPR101", "RPR102", "RPR103", "RPR104",
-                     "RPR201", "RPR202", "RPR301", "RPR302", "RPR303", "RPR304"):
+                     "RPR201", "RPR202", "RPR301", "RPR302", "RPR303", "RPR304", "RPR305"):
             assert code in out
 
     def test_module_entry_point_matches_cli(self, sim_tree):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_source
 
 #: Inside the configured hot modules (RPR301 applies).
@@ -179,3 +181,85 @@ class TestAllDrift:
             return 1
         """
         assert codes(source) == []
+
+
+class TestRawPersistence:
+    SERVICE = "repro/service/fixture.py"
+
+    @pytest.mark.parametrize(
+        "path",
+        ["repro/service/fixture.py", "repro/experiments/fixture.py", "repro/obs/manifest.py"],
+    )
+    def test_raw_rename_tempfile_and_digest_are_flagged(self, path):
+        source = """
+        import hashlib
+        import os
+        import tempfile
+        def save(path, text):
+            descriptor, temp = tempfile.mkstemp(dir=".")
+            os.replace(temp, path)
+            return hashlib.sha256(text.encode()).hexdigest()
+        """
+        assert codes(source, path=path) == ["RPR305", "RPR305", "RPR305"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'open(path, "w")',
+            'open(path, mode="a", encoding="utf-8")',
+            'open(path, "r+")',
+            'io.open(path, "wb")',
+            'os.fdopen(descriptor, "w")',
+            'pathlib.Path(path).open("x")',
+        ],
+    )
+    def test_write_mode_opens_are_flagged(self, call):
+        source = f"""
+        import io
+        import os
+        import pathlib
+        def save(path, descriptor):
+            with {call} as handle:
+                handle.write("x")
+        """
+        assert codes(source, path=self.SERVICE) == ["RPR305"]
+
+    def test_aliased_imports_are_resolved(self):
+        source = """
+        from os import replace as rename_over
+        from hashlib import sha256
+        def save(temp, path):
+            rename_over(temp, path)
+            return sha256(b"x")
+        """
+        assert codes(source, path=self.SERVICE) == ["RPR305", "RPR305"]
+
+    def test_reads_and_persist_calls_are_fine(self):
+        source = """
+        import json
+        from repro import persist
+        def load(path, archive):
+            with open(path) as handle:
+                first = handle.read()
+            with open(path, "r", encoding="utf-8") as handle:
+                second = json.load(handle)
+            with archive.open("data.txt") as member:  # a name, not a mode
+                member.read()
+            persist.write_atomic(path, first)
+            persist.append_line(path, "x\\n")
+            return persist.digest(second)
+        """
+        assert codes(source, path=self.SERVICE) == []
+
+    @pytest.mark.parametrize(
+        "path", ["repro/persist.py", "repro/obs/tracing.py", "repro/traffic/trace.py"]
+    )
+    def test_other_modules_are_not_checked(self, path):
+        source = """
+        import os
+        def save(temp, path):
+            with open(temp, "w") as handle:
+                handle.write("x")
+            os.replace(temp, path)
+        """
+        assert codes(source, path=path) == []

@@ -135,24 +135,36 @@ class TestCheckpointResume:
         )
         assert _render(full) == _render(resumed)
 
-    def test_legacy_single_json_checkpoint_still_accepted(self, tmp_path):
+    def test_single_document_checkpoint_is_quarantined_and_rerun(self, tmp_path):
+        """The pre-JSON-lines layout is damage now: quarantine, rerun, same report."""
         full = run_experiment(
             "validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path)
         )
         path = checkpoint_path(str(tmp_path), "validation")
         header, records = _read_checkpoint_lines(path)
-        legacy = {
+        single_document = {
             "experiment": "validation",
             "fingerprint": header["fingerprint"],
             "num_shards": header["num_shards"],
             "shards": {str(record["index"]): record["payload"] for record in records},
         }
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(legacy, handle)
+            json.dump(single_document, handle)
+        manifest_dir = tmp_path / "manifests"
         resumed = run_experiment(
-            "validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path), resume=True
+            "validation",
+            options=FAST_VALIDATION,
+            checkpoint_dir=str(tmp_path),
+            resume=True,
+            manifest_dir=str(manifest_dir),
         )
         assert _render(full) == _render(resumed)
+        with open(path + ".corrupt", encoding="utf-8") as handle:
+            assert json.load(handle) == single_document
+        manifest = json.loads((manifest_dir / "validation.manifest.json").read_text())
+        assert manifest["resumed_shards"] == []  # every shard reran
+        rewritten, _ = _read_checkpoint_lines(path)
+        assert rewritten == header
 
     def test_stale_fingerprint_is_ignored(self, tmp_path):
         run_experiment("validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path))

@@ -17,7 +17,8 @@ from repro.exceptions import ConfigurationError, JobNotFoundError, QueueFullErro
 from repro.link.design import OpticalLinkDesigner
 from repro.coding.registry import get_code
 from repro.obs import metrics as obs_metrics
-from repro.service.models import Job, JobState, job_checksum
+from repro import persist
+from repro.service.models import Job, JobState
 from repro.service.queue import DurableJobQueue
 from repro.service.store import PersistentDesignCache, ResultsStore
 
@@ -79,7 +80,7 @@ class TestJobStateMachine:
         data = job.to_dict()
         assert Job.from_dict(data) == job
         # canonical JSON: key order must not matter
-        assert job_checksum(data) == job_checksum(json.loads(json.dumps(data)))
+        assert persist.digest(data) == persist.digest(json.loads(json.dumps(data)))
 
 
 class TestDurableJobQueue:
@@ -154,6 +155,17 @@ class TestDurableJobQueue:
         assert (tmp_path / ("a" * 16 + ".json.corrupt")).exists()
         assert (tmp_path / ("b" * 16 + ".json.corrupt")).exists()
 
+    def test_recover_deletes_temp_debris_of_killed_writes(self, tmp_path):
+        queue = DurableJobQueue(str(tmp_path))
+        queue.submit(_job("a" * 16))
+        # A writer killed between write and rename: the fixed-name temp of
+        # earlier releases and a unique one, both with half a record.
+        for name in ("a" * 16 + ".json.tmp", "." + "b" * 16 + ".json.k3x9.tmp"):
+            (tmp_path / name).write_text('{"kind": "jo', encoding="utf-8")
+        reborn = DurableJobQueue(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["a" * 16 + ".json"]
+        assert [job.job_id for job in reborn.jobs()] == ["a" * 16]
+
     def test_counts_are_zero_filled(self, tmp_path):
         queue = DurableJobQueue(str(tmp_path))
         assert queue.counts() == {state: 0 for state in JobState.ALL}
@@ -168,6 +180,13 @@ class TestResultsStore:
         store.put("f" * 16, payload)
         assert store.get("f" * 16) == payload
         assert ("f" * 16) in store
+
+    def test_open_deletes_temp_debris_of_killed_writes(self, tmp_path):
+        ResultsStore(str(tmp_path)).put("f" * 16, {"text": "report", "rows": []})
+        (tmp_path / ("." + "e" * 16 + ".json.k3x9.tmp")).write_text("{", encoding="utf-8")
+        store = ResultsStore(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["f" * 16 + ".json"]
+        assert store.get("f" * 16) == {"text": "report", "rows": []}
 
     def test_miss_is_none(self, tmp_path):
         store = ResultsStore(str(tmp_path))
@@ -243,9 +262,7 @@ class TestPersistentDesignCache:
         designer.design_point(get_code("h(7,4)"), 1e-12)
         record = json.loads(open(path, encoding="utf-8").readline())
         del record["point"]["code_rate"]  # pretend an old release wrote this
-        from repro.service.store import _payload_checksum
-
-        record["checksum"] = _payload_checksum(
+        record["checksum"] = persist.digest(
             {"key": record["key"], "point": record["point"]}
         )
         with open(path, "w", encoding="utf-8") as handle:
