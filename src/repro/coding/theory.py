@@ -24,6 +24,7 @@ All probabilities are per-bit unless stated otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Protocol
 
@@ -43,6 +44,10 @@ __all__ = [
     "block_error_probability",
     "undetected_error_probability_upper_bound",
 ]
+
+
+#: Entries kept by the process-wide Eq. 2 root memo (one per ``(n, t, target)``).
+RAW_BER_ROOT_CACHE_SIZE = 4096
 
 
 class _CodeLike(Protocol):
@@ -126,9 +131,14 @@ def output_ber(code: _CodeLike, raw_ber: float) -> float:
     t = int(getattr(code, "correctable_errors", 0))
     if t == 0:
         return float(raw_ber)
+    return _coded_output_ber(code.n, t, raw_ber)
+
+
+def _coded_output_ber(n: int, t: int, raw_ber: float) -> float:
+    """:func:`output_ber` of a ``t >= 1`` code: a function of ``(n, t, p)`` only."""
     if t == 1:
-        return float(hamming_output_ber(raw_ber, code.n))
-    return coded_ber_bounded_distance(raw_ber, code.n, t)
+        return float(hamming_output_ber(raw_ber, n))
+    return coded_ber_bounded_distance(raw_ber, n, t)
 
 
 def raw_ber_for_target_output_ber(code: _CodeLike, target_ber: float) -> float:
@@ -145,9 +155,22 @@ def raw_ber_for_target_output_ber(code: _CodeLike, target_ber: float) -> float:
     t = int(getattr(code, "correctable_errors", 0))
     if t == 0:
         return float(target_ber)
+    return _raw_ber_root(code.n, t, float(target_ber))
+
+
+@functools.lru_cache(maxsize=RAW_BER_ROOT_CACHE_SIZE)
+def _raw_ber_root(n: int, t: int, target_ber: float) -> float:
+    """Memoized root search of :func:`raw_ber_for_target_output_ber`.
+
+    The post-decoding BER depends only on the block length and the number of
+    correctable errors, so every code with the same ``(n, t)`` — and every
+    designer, shard and drift-margin derating in the process — shares one
+    ``brentq`` per target.  The cache is bounded because the service accepts
+    arbitrary target BERs.
+    """
 
     def objective(p: float) -> float:
-        return output_ber(code, p) - target_ber
+        return _coded_output_ber(n, t, p) - target_ber
 
     # The post-decoding BER is monotonically increasing in p on (0, ~0.5/n);
     # bracket the root between the target itself (coded is never worse than

@@ -49,14 +49,7 @@ def run_figure3(
     config: PaperConfig = DEFAULT_CONFIG, *, num_points: int = 401
 ) -> Figure3Result:
     """Sample the ring spectra and verify the extinction ratio."""
-    ring = MicroringResonator(
-        resonance_wavelength_m=config.center_wavelength_m,
-        quality_factor=config.ring_quality_factor,
-        extinction_ratio_db=config.extinction_ratio_db,
-        through_loss_db=config.ring_through_loss_db,
-        drop_loss_db=config.ring_drop_loss_db,
-        drive_power_w=config.modulator_power_w,
-    )
+    ring = MicroringResonator.from_config(config)
     span = 6.0 * ring.fwhm_m
     wavelengths = np.linspace(
         config.center_wavelength_m - span, config.center_wavelength_m + span, num_points

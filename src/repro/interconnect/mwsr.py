@@ -18,7 +18,7 @@ from typing import Dict, List
 
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
-from ..photonics.crosstalk import CrosstalkModel
+from ..photonics.crosstalk import worst_case_crosstalk_ratio
 from ..units import db_loss_to_transmission, db_to_linear
 from .topology import RingTopology
 
@@ -122,7 +122,7 @@ class MWSRChannel:
     @property
     def crosstalk_ratio(self) -> float:
         """Worst-case crosstalk ratio at the reader (same for every writer)."""
-        return CrosstalkModel.from_config(self.config).worst_case_ratio()
+        return worst_case_crosstalk_ratio(self.config)
 
     # ------------------------------------------------------------------ bandwidth
     @property

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..channel.ber import required_raw_ber, required_snr
+from ..channel.ber import required_raw_ber, snr_from_ber
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError, InfeasibleDesignError, LaserPowerExceededError
 from ..obs import metrics as obs_metrics
@@ -95,12 +95,15 @@ class OpticalLinkDesigner:
         if self.budget is None:
             self.budget = LinkPowerBudget(config=self.config)
         self._detector = Photodetector.from_config(self.config)
-        # Solved operating points, keyed by code identity and target.  The
-        # solve chain (crosstalk scan + two brentq inversions) costs
-        # milliseconds, and request-rate consumers (the runtime manager, the
-        # network simulator) ask for the same handful of (code, target)
-        # pairs millions of times; LinkDesignPoint is frozen, so sharing the
-        # instance is safe.
+        # Solved operating points, keyed by code identity and target.
+        # Request-rate consumers (the runtime manager, the network
+        # simulator) ask for the same handful of (code, target) pairs
+        # millions of times; LinkDesignPoint is frozen, so sharing the
+        # instance is safe.  The crosstalk ratio and the Eq. 2 root behind a
+        # solve are memoized process-wide (one scan per geometry, one brentq
+        # per (n, t, target)), but this tier stays per designer so its
+        # link.design_point.cache_* counters count only its own requests,
+        # whatever another designer or shard solved first.
         self._point_cache: dict = {}
 
     # ------------------------------------------------------------------ solving
@@ -117,8 +120,7 @@ class OpticalLinkDesigner:
         """
         return self.design_point(code, target_ber).laser_output_power_w
 
-    def _solve_laser_output_power(self, code, target_ber: float) -> float:
-        snr = required_snr(code, target_ber)
+    def _solve_laser_output_power(self, snr: float) -> float:
         transmission = self.budget.signal_transmission
         crosstalk_ratio = self.budget.crosstalk_ratio
         effective = transmission * (1.0 - crosstalk_ratio)
@@ -176,8 +178,8 @@ class OpticalLinkDesigner:
         if not 0.0 < target_ber < 0.5:
             raise ConfigurationError("target BER must lie in (0, 0.5)")
         raw = required_raw_ber(code, target_ber)
-        snr = required_snr(code, target_ber)
-        op_laser = self._solve_laser_output_power(code, target_ber)
+        snr = snr_from_ber(raw)
+        op_laser = self._solve_laser_output_power(snr)
         signal = self.budget.received_signal_power(op_laser)
         crosstalk = self.budget.received_crosstalk_power(op_laser)
         feasible = self.laser.can_deliver(op_laser)

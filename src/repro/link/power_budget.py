@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 from ..photonics.coupler import MMICoupler
-from ..photonics.crosstalk import CrosstalkModel
-from ..photonics.microring import MicroringResonator
+from ..photonics.crosstalk import worst_case_crosstalk_ratio
 from ..photonics.waveguide import Waveguide
 from ..units import db_loss_to_transmission, db_to_linear
 
@@ -122,7 +121,7 @@ class LinkPowerBudget:
     @property
     def crosstalk_ratio(self) -> float:
         """Worst-case crosstalk power divided by the per-channel received power."""
-        return CrosstalkModel.from_config(self.config).worst_case_ratio()
+        return worst_case_crosstalk_ratio(self.config)
 
     def breakdown(self) -> dict[str, float]:
         """Per-element loss contributions in dB, for reports and tests."""
@@ -157,15 +156,3 @@ class LinkPowerBudget:
         if signal_power_w < 0:
             raise ConfigurationError("signal power cannot be negative")
         return signal_power_w / self.signal_transmission
-
-    @property
-    def microring(self) -> MicroringResonator:
-        """The micro-ring parameterisation implied by the configuration."""
-        return MicroringResonator(
-            resonance_wavelength_m=self.config.center_wavelength_m,
-            quality_factor=self.config.ring_quality_factor,
-            extinction_ratio_db=self.config.extinction_ratio_db,
-            through_loss_db=self.config.ring_through_loss_db,
-            drop_loss_db=self.config.ring_drop_loss_db,
-            drive_power_w=self.config.modulator_power_w,
-        )

@@ -17,6 +17,7 @@ power) so the link solver can apply it at any laser operating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from ..exceptions import ConfigurationError
 from .microring import MicroringResonator
 from .wdm import WDMGrid
 
-__all__ = ["CrosstalkModel"]
+__all__ = ["CrosstalkModel", "worst_case_crosstalk_ratio"]
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,29 @@ class CrosstalkModel:
     @classmethod
     def from_config(cls, config) -> "CrosstalkModel":
         """Build the model from a :class:`repro.config.PaperConfig`."""
-        grid = WDMGrid.from_config(config)
-        ring = MicroringResonator(
-            resonance_wavelength_m=config.center_wavelength_m,
-            quality_factor=config.ring_quality_factor,
-            extinction_ratio_db=config.extinction_ratio_db,
-            through_loss_db=config.ring_through_loss_db,
-            drop_loss_db=config.ring_drop_loss_db,
-            drive_power_w=config.modulator_power_w,
+        return cls(
+            grid=WDMGrid.from_config(config),
+            drop_ring=MicroringResonator.from_config(config),
         )
-        return cls(grid=grid, drop_ring=ring)
+
+
+@functools.lru_cache(maxsize=None)
+def _memoized_worst_case_ratio(model: CrosstalkModel) -> float:
+    """``model.worst_case_ratio()``, computed once per crosstalk geometry.
+
+    The key is the frozen model itself — its grid and drop ring — so two
+    configurations share an entry exactly when every field that enters the
+    Lorentzian scan is equal.  Geometries are few (one per configuration a
+    process designs for), so the cache is unbounded.
+    """
+    return model.worst_case_ratio()
+
+
+def worst_case_crosstalk_ratio(config) -> float:
+    """Worst-case crosstalk ratio of the geometry described by ``config``.
+
+    Process-wide memo of ``CrosstalkModel.from_config(config).worst_case_ratio()``
+    (bit-for-bit the same float): the ratio is a constant of the WDM grid
+    and ring, yet every link solve and MWSR channel asks for it.
+    """
+    return _memoized_worst_case_ratio(CrosstalkModel.from_config(config))

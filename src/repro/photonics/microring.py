@@ -187,3 +187,19 @@ class MicroringResonator:
             on_state_shift_m=self.on_state_shift_m,
             drive_power_w=self.drive_power_w,
         )
+
+    @classmethod
+    def from_config(cls, config) -> "MicroringResonator":
+        """Build the ring from a :class:`repro.config.PaperConfig`.
+
+        Resonant at the grid centre; the crosstalk model retunes copies of it
+        to each channel with :meth:`detuned_copy`.
+        """
+        return cls(
+            resonance_wavelength_m=config.center_wavelength_m,
+            quality_factor=config.ring_quality_factor,
+            extinction_ratio_db=config.extinction_ratio_db,
+            through_loss_db=config.ring_through_loss_db,
+            drop_loss_db=config.ring_drop_loss_db,
+            drive_power_w=config.modulator_power_w,
+        )

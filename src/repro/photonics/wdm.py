@@ -36,12 +36,17 @@ class WDMGrid:
             raise ConfigurationError("channel spacing must be positive")
 
     @property
-    def wavelengths_m(self) -> Tuple[float, ...]:
-        """Channel wavelengths, lowest index = shortest wavelength."""
-        first = (
+    def first_wavelength_m(self) -> float:
+        """Wavelength of channel 0, the shortest on the grid."""
+        return (
             self.center_wavelength_m
             - (self.num_channels - 1) / 2.0 * self.channel_spacing_m
         )
+
+    @property
+    def wavelengths_m(self) -> Tuple[float, ...]:
+        """Channel wavelengths, lowest index = shortest wavelength."""
+        first = self.first_wavelength_m
         return tuple(first + i * self.channel_spacing_m for i in range(self.num_channels))
 
     @property
@@ -51,12 +56,12 @@ class WDMGrid:
         return SPEED_OF_LIGHT * self.channel_spacing_m / (lam * lam)
 
     def wavelength(self, channel_index: int) -> float:
-        """Wavelength of one channel."""
+        """Wavelength of one channel (O(1): the same expression as ``wavelengths_m``)."""
         if not 0 <= channel_index < self.num_channels:
             raise ConfigurationError(
                 f"channel index {channel_index} outside [0, {self.num_channels - 1}]"
             )
-        return self.wavelengths_m[channel_index]
+        return self.first_wavelength_m + channel_index * self.channel_spacing_m
 
     def detuning_m(self, channel_a: int, channel_b: int) -> float:
         """Signed wavelength difference between two channels (a minus b)."""
