@@ -25,9 +25,7 @@ replicates every grid point across that many independent rings (distinct
 seeds, same configuration) — the multi-ring scale-out path: rings shard
 across orchestrator workers and their rows merge into one aggregate row
 per grid point (extensive counters summed exactly, rates and latency
-percentiles combined as completed-weighted means).  ``options["engine"]``
-selects the simulator's event engine (``"batched"`` by default,
-``"reference"`` for the legacy per-event loop).
+percentiles combined as completed-weighted means).
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from ..manager.policies import (
     MinimumEnergyPolicy,
     MinimumPowerPolicy,
 )
-from ..netsim import ENGINES, NetworkSimulator
+from ..netsim import NetworkSimulator
 from ..traffic.generators import (
     BurstyTrafficGenerator,
     HotspotTrafficGenerator,
@@ -194,7 +192,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
 
     ``options`` may override ``patterns``, ``loads``, ``policies``,
     ``num_requests``, ``payload_bits``, ``target_ber``, ``packet_bits``,
-    ``mode``, ``engine``, ``rings``, ``max_retries``, ``warmup_fraction``
+    ``mode``, ``rings``, ``max_retries``, ``warmup_fraction``
     and ``seed`` (all JSON-serializable; they become part of the checkpoint
     fingerprint).  ``rings`` replicates each grid point across that many
     independently seeded rings, one shard per ring, so ``--jobs`` spreads
@@ -210,9 +208,6 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
             raise ConfigurationError(
                 f"unknown policy {policy!r}; available: {sorted(_POLICY_FACTORIES)}"
             )
-    engine = str(options.get("engine", "batched"))
-    if engine not in ENGINES:
-        raise ConfigurationError(f"unknown engine {engine!r}; available: {ENGINES}")
     rings = int(options.get("rings", 1))
     if rings < 1:
         raise ConfigurationError("rings must be a positive integer")
@@ -229,7 +224,6 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
                             "load": load,
                             "ring": ring,
                             "rings": rings,
-                            "engine": engine,
                             "num_requests": int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
                             "payload_bits": int(options.get("payload_bits", DEFAULT_PAYLOAD_BITS)),
                             "target_ber": float(options.get("target_ber", DEFAULT_TARGET_BER)),
@@ -269,7 +263,6 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         config=config,
         policy=_POLICY_FACTORIES[params["policy"]](),
         mode=params["mode"],
-        engine=params.get("engine", "batched"),
         packet_bits=params["packet_bits"],
         max_retries=params["max_retries"],
         warmup_fraction=params["warmup_fraction"],

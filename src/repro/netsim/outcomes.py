@@ -19,8 +19,8 @@ outcome:
   per failed block).  No codeword ever materialises, which is what keeps
   the engine in the 10^6 packets/s range.
 
-  The sampler's stream contract is what makes the epoch-batched engine
-  possible: every attempt consumes exactly *one* double from the primary
+  The sampler's stream contract is what makes the simulator's epoch
+  flushes possible: every attempt consumes exactly *one* double from the primary
   stream — compared against the attempt-level failure probability
   ``1 - (1 - p_block)^(packets x blocks)``, so "any block failed" is
   decided without materialising per-block uniforms — while the
@@ -28,10 +28,12 @@ outcome:
   failed-block pattern, CRC escapes, residual-bit binomials) come from a
   separate *resolution* stream.  Because ``Generator.random`` fills
   sequentially from the bit stream, one vectorized primary draw for many
-  attempts is bit-identical to per-attempt draws — so the batched engine
-  draws whole epochs at once (:meth:`~ProbabilisticOutcomeSampler.outcome_from_uniform`
-  per queued attempt) and stays byte-identical to the reference engine's
-  per-event draws.  The per-block joint distribution is unchanged: the
+  attempts is bit-identical to per-attempt draws — so the event loop
+  draws whole epochs at once (compare each queued attempt's uniform with
+  :meth:`~ProbabilisticOutcomeSampler.attempt_failure_probability`, as
+  :meth:`~ProbabilisticOutcomeSampler.outcome_from_uniform` does) and stays
+  byte-identical to per-attempt :meth:`~ProbabilisticOutcomeSampler.sample`
+  calls.  The per-block joint distribution is unchanged: the
   conditional pattern (first failed block truncated-geometric, the rest
   i.i.d. Bernoulli) is exactly i.i.d. per-block failures conditioned on at
   least one.
@@ -241,7 +243,7 @@ class ProbabilisticOutcomeSampler:
         """Doubles one attempt consumes from the primary stream (always 1).
 
         Fixed and known before any randomness is drawn — the property the
-        epoch-batched engine relies on to draw many attempts' uniforms in
+        event loop relies on to draw many attempts' uniforms in
         one vectorized ``Generator.random`` call.
         """
         return 1

@@ -171,15 +171,6 @@ class TestMultiRingSharding:
         parallel = run_experiment("network", options=RING_NETWORK, jobs=4)
         assert _render(serial) == _render(parallel)
 
-    def test_engine_choice_does_not_change_the_report(self):
-        batched = run_experiment("network", options={**RING_NETWORK, "engine": "batched"})
-        reference = run_experiment(
-            "network", options={**RING_NETWORK, "engine": "reference"}
-        )
-        assert _render(batched) == _render(reference)
-
     def test_invalid_options_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep_shards(options={"rings": 0})
-        with pytest.raises(ConfigurationError):
-            sweep_shards(options={"engine": "warp-drive"})

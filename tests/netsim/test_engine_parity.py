@@ -1,14 +1,16 @@
-"""Differential parity harness: epoch-batched engine vs the reference loop.
+"""Differential parity harness: the one event loop vs the test oracle.
 
-The batched engine (:mod:`repro.netsim.epoch`) claims *byte-identical*
-results to the reference per-event loop — same records, same metrics, same
+The simulator's event loop (:func:`repro.netsim.epoch.run_batched`) claims
+*byte-identical* results to the per-event reference loop kept as a test
+oracle in :mod:`reference_engine` — same records, same metrics, same
 interval traces, same event counts — across every feature that rides the
 hot path: fault timelines with the degradation ladder, channel drift with
-static/adaptive/oracle controllers, ARQ backoff and timeouts, and both
-outcome modes.  This suite is the proof: every test runs the identical
-workload through both engines (freshly built models on each side, same
-seeds everywhere) and asserts equality of everything a
-:class:`~repro.netsim.engine.NetworkResult` exposes.
+static/adaptive/oracle controllers, ARQ backoff and timeouts, both outcome
+modes, and parked transfers under many configuration-memo keys.  This
+suite is the proof: every test runs the identical workload through both
+(freshly built models on each side, same seeds everywhere) and asserts
+equality of everything a :class:`~repro.netsim.engine.NetworkResult`
+exposes, plus the manager's active-configuration table after the run.
 
 The default grid keeps tier-1 fast; set ``REPRO_PARITY_LONG=1`` to sweep
 the full fault x drift x policy x load x seed cross-product.
@@ -17,11 +19,14 @@ the full fault x drift x policy x load x seed cross-product.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from itertools import product
 
 import pytest
+from reference_engine import ReferenceSimulator
 
 from repro.config import DEFAULT_CONFIG
+from repro.exceptions import SimulationError
 from repro.manager.policies import (
     DeadlineConstrainedPolicy,
     DegradationLadder,
@@ -30,13 +35,16 @@ from repro.manager.policies import (
 from repro.manager.runtime import AdaptiveEccController
 from repro.netsim import NetworkSimulator, make_drift_model, make_fault_model
 from repro.netsim.failures import FAULT_SCENARIOS
-from repro.traffic.generators import UniformTrafficGenerator
+from repro.traffic.generators import BurstyTrafficGenerator, UniformTrafficGenerator
 
 NUM_ONIS = DEFAULT_CONFIG.num_onis
 NW = DEFAULT_CONFIG.num_wavelengths
 
 DRIFT_PROFILES = ("thermal", "aging", "random-walk")
 POLICIES = (None, "static", "adaptive", "oracle")
+
+#: The two implementations under comparison, keyed as in the results dict.
+SIMULATORS = {"reference": ReferenceSimulator, "one-loop": NetworkSimulator}
 
 RESULT_FIELDS = (
     "records",
@@ -63,24 +71,49 @@ def _requests(count=200, seed=1, payload_bits=None):
     return list(generator.generate(count))
 
 
-def assert_identical(reference, batched) -> None:
+#: Mixed BER targets cycled over a run; under a one-cycle deadline the
+#: tightest is infeasible (only coded schemes reach it).
+MIXED_TARGETS = (1e-3, 1e-6, 1e-9, 1e-12)
+
+
+def _mixed_requests(count=200, seed=1):
+    """Bursty variable payloads with the targets of :data:`MIXED_TARGETS`."""
+    generator = BurstyTrafficGenerator(
+        NUM_ONIS, mean_request_rate_hz=5e8, frame_bits=4096, seed=seed
+    )
+    return [
+        replace(request, target_ber=MIXED_TARGETS[index % len(MIXED_TARGETS)])
+        for index, request in enumerate(generator.generate(count))
+    ]
+
+
+def assert_identical(reference, one_loop) -> None:
     """Every observable of the two results must be equal, byte for byte."""
     for field in RESULT_FIELDS:
-        assert getattr(reference, field) == getattr(batched, field), field
-    assert reference.metrics().as_dict() == batched.metrics().as_dict()
+        assert getattr(reference, field) == getattr(one_loop, field), field
+    assert reference.metrics().as_dict() == one_loop.metrics().as_dict()
+
+
+def _active_table(manager) -> list:
+    """The manager's applied configurations, as comparable values."""
+    return sorted(
+        (c.request.source, c.request.destination, c.code_name, c.margin_multiplier)
+        for c in manager.active_configurations()
+    )
 
 
 def run_both(requests, *, scenario=None, drift=None, policy=None, policy_obj=None, **sim_kwargs):
-    """Run the workload through both engines with freshly built models.
+    """Run the workload through the oracle and the one loop, freshly built.
 
-    Fault models, drift processes and controllers are rebuilt per engine
+    Fault models, drift processes and controllers are rebuilt per side
     from the same seeds, so neither run can leak state into the other.
     ``policy`` selects a controller mode; ``policy_obj`` is a manager
     selection policy passed straight through.
     """
     horizon = max(r.arrival_time_s for r in requests)
     results = {}
-    for engine in ("reference", "batched"):
+    tables = {}
+    for name, simulator_class in SIMULATORS.items():
         kwargs = dict(sim_kwargs)
         if policy_obj is not None:
             kwargs["policy"] = policy_obj
@@ -98,10 +131,11 @@ def run_both(requests, *, scenario=None, drift=None, policy=None, policy_obj=Non
                 margins=margin_levels(4.0), mode=policy
             )
             kwargs["telemetry_seed"] = 99
-        results[engine] = NetworkSimulator(seed=11, engine=engine, **kwargs).run(
-            iter(requests)
-        )
-    assert_identical(results["reference"], results["batched"])
+        simulator = simulator_class(seed=11, **kwargs)
+        results[name] = simulator.run(iter(requests))
+        tables[name] = _active_table(simulator.manager)
+    assert_identical(results["reference"], results["one-loop"])
+    assert tables["reference"] == tables["one-loop"]
     return results["reference"]
 
 
@@ -143,6 +177,34 @@ class TestStaticPathParity:
             max_retries=0,
         )
         assert all(record.rejected for record in result.records)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bursty_mixed_targets_with_an_infeasible_one(self, seed):
+        """Many memo keys in one run: payloads x targets, one key rejected."""
+        result = run_both(
+            _mixed_requests(count=200, seed=seed),
+            policy_obj=DeadlineConstrainedPolicy(max_communication_time=1.0),
+        )
+        records = result.records
+        assert len({r.payload_bits for r in records}) > 50
+        assert any(r.rejected for r in records)
+        assert any(r.attempts > 1 for r in records)
+        assert {r.code_name for r in records if not r.rejected} == {"w/o ECC"}
+
+    @pytest.mark.parametrize("parked", [True, False], ids=["parked", "stateful"])
+    def test_invalid_request_fails_identically(self, parked):
+        """A memoized key never skips the manager's endpoint validation."""
+        requests = _requests(count=40, seed=3)
+        requests[-1] = replace(requests[-1], destination=NUM_ONIS)
+        horizon = max(r.arrival_time_s for r in requests)
+        kwargs = {} if parked else {"trace_interval_s": horizon / 4}
+        messages = {}
+        for name, simulator_class in SIMULATORS.items():
+            with pytest.raises(SimulationError) as excinfo:
+                simulator_class(seed=11, **kwargs).run(iter(requests))
+            messages[name] = str(excinfo.value)
+        assert messages["reference"] == messages["one-loop"]
+        assert messages["one-loop"].startswith("ARRIVAL handler failed")
 
     def test_bit_exact_mode(self):
         run_both(
@@ -189,8 +251,8 @@ class TestLoadParity:
 class TestInstrumentedParity:
     """Observability on changes nothing a NetworkResult exposes."""
 
-    @pytest.mark.parametrize("engine", ["reference", "batched"])
-    def test_tracing_and_metrics_leave_results_identical(self, engine):
+    @pytest.mark.parametrize("name", list(SIMULATORS))
+    def test_tracing_and_metrics_leave_results_identical(self, name):
         import io
 
         from repro.obs import metrics as obs_metrics
@@ -199,12 +261,11 @@ class TestInstrumentedParity:
         requests = _requests(count=150, seed=8)
         horizon = max(r.arrival_time_s for r in requests)
         kwargs = dict(retry_backoff_s=horizon / 100, transfer_timeout_s=horizon)
-        plain = NetworkSimulator(seed=11, engine=engine, **kwargs).run(iter(requests))
+        simulator_class = SIMULATORS[name]
+        plain = simulator_class(seed=11, **kwargs).run(iter(requests))
         sink = io.StringIO()
         with obs_metrics.collecting() as registry, obs_tracing.tracing_to(sink):
-            instrumented = NetworkSimulator(seed=11, engine=engine, **kwargs).run(
-                iter(requests)
-            )
+            instrumented = simulator_class(seed=11, **kwargs).run(iter(requests))
             snapshot = registry.snapshot()
         assert_identical(plain, instrumented)
         assert sink.getvalue()  # spans actually flowed
@@ -218,19 +279,19 @@ class TestInstrumentedParity:
         )
         assert counters["netsim.transfers.total"] == len(plain.records)
 
-    def test_both_engines_publish_identical_metrics(self):
+    def test_oracle_and_one_loop_publish_identical_metrics(self):
         from repro.obs import metrics as obs_metrics
 
         requests = _requests(count=150, seed=9)
         snapshots = {}
-        for engine in ("reference", "batched"):
+        for name, simulator_class in SIMULATORS.items():
             with obs_metrics.collecting() as registry:
-                NetworkSimulator(seed=11, engine=engine).run(iter(requests))
-                snapshots[engine] = registry.snapshot()
-        # Cache hit patterns (the reference loop asks the manager per
-        # transfer, the batched loop memoizes per epoch) and the epoch-flush
-        # counter are engine-internal by design; every *simulation
-        # observable* — netsim counters, gauges, histograms — must agree.
+                simulator_class(seed=11).run(iter(requests))
+                snapshots[name] = registry.snapshot()
+        # Cache hit patterns (the oracle asks the manager per transfer, the
+        # loop memoizes per target and margin) and the epoch-flush counter
+        # are loop-internal by design; every *simulation observable* —
+        # netsim counters, gauges, histograms — must agree.
         def observable(snapshot):
             return {
                 "counters": {
@@ -242,11 +303,11 @@ class TestInstrumentedParity:
                 "histograms": snapshot["histograms"],
             }
 
-        assert observable(snapshots["reference"]) == observable(snapshots["batched"])
+        assert observable(snapshots["reference"]) == observable(snapshots["one-loop"])
 
 
 class TestOrchestratedParity:
-    """Engine parity survives the sweep orchestrator at any worker count."""
+    """A report built on the oracle equals the one loop's at any --jobs."""
 
     OPTIONS = {
         "patterns": ["uniform", "hotspot"],
@@ -259,18 +320,18 @@ class TestOrchestratedParity:
     }
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_batched_jobs_match_reference_serial(self, jobs):
+    def test_one_loop_jobs_match_oracle_serial(self, jobs, monkeypatch):
+        from repro.experiments import network
         from repro.experiments.orchestrator import run_experiment
         from repro.experiments.report import rows_to_csv
 
-        reference = run_experiment(
-            "network", options={**self.OPTIONS, "engine": "reference"}
-        )
-        batched = run_experiment(
-            "network", options={**self.OPTIONS, "engine": "batched"}, jobs=jobs
-        )
-        assert reference[0] == batched[0]
-        assert rows_to_csv(reference[1]) == rows_to_csv(batched[1])
+        with monkeypatch.context() as patch:
+            # Serial, so the shards run in this process on the oracle.
+            patch.setattr(network, "NetworkSimulator", ReferenceSimulator)
+            reference = run_experiment("network", options=self.OPTIONS)
+        one_loop = run_experiment("network", options=self.OPTIONS, jobs=jobs)
+        assert reference[0] == one_loop[0]
+        assert rows_to_csv(reference[1]) == rows_to_csv(one_loop[1])
 
 
 @pytest.mark.skipif(

@@ -1,7 +1,7 @@
 """Property-based ordering invariants for the event cores.
 
-:class:`~repro.netsim.events.EpochEventCore` promises exactly
-:class:`~repro.netsim.events.EventQueue`'s total order — ``(time_s,
+:class:`~repro.netsim.events.EpochEventCore` promises exactly the test
+oracle's :class:`reference_engine.EventQueue` total order — ``(time_s,
 insertion sequence)``, static events sequenced before every dynamic one —
 while serving the static bulk by cursor instead of heap.  Hypothesis
 drives both against a plain ``heapq`` model with arbitrary interleavings
@@ -16,9 +16,10 @@ import heapq
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_engine import EventQueue
 
 from repro.exceptions import ConfigurationError
-from repro.netsim.events import EpochEventCore, EventKind, EventQueue
+from repro.netsim.events import EpochEventCore, EventKind
 
 # Continuous times rarely tie; coarse integer-derived times tie constantly.
 # Both matter: ties exercise the sequence-number tie-break, distinct times
@@ -107,8 +108,8 @@ class TestEpochEventCoreVsHeapModel:
     def test_epoch_drain_boundary_keeps_sequencing(self, when, times):
         """Pops interleaved at an arbitrary point never disturb later order.
 
-        This is the engine's actual usage: drain an epoch, schedule a batch
-        of departures, drain again.
+        This is the event loop's actual usage: drain an epoch, schedule a
+        batch of departures, drain again.
         """
         core = EpochEventCore(_static_events(times))
         model = [(t, i, EventKind.ARRIVAL, ("static", i)) for i, t in enumerate(times)]
