@@ -14,6 +14,7 @@ __all__ = [
     "check_silent_except",
     "check_all_drift",
     "check_raw_persistence",
+    "check_heavy_scipy_imports",
 ]
 
 #: Base classes that manage their own storage layout (``__slots__`` is
@@ -345,4 +346,56 @@ def check_raw_persistence(ctx) -> List:
         else:
             continue
         findings.append(ctx.finding(node, "RPR305", message))
+    return findings
+
+
+#: SciPy subpackages the package must not import (RPR306): together they
+#: cost over a second of start-up for a root search and one binomial tail,
+#: which ``repro.coding.theory`` computes bit-identically without them.
+_BANNED_SCIPY_MODULES = ("scipy.stats", "scipy.optimize")
+
+
+def _banned_scipy_module(module: str) -> Optional[str]:
+    """The banned subpackage ``module`` is or lies inside, else ``None``."""
+    for banned in _BANNED_SCIPY_MODULES:
+        if module == banned or module.startswith(banned + "."):
+            return banned
+    return None
+
+
+def _imported_modules(node: ast.AST) -> List[str]:
+    """Dotted modules an import statement loads (none for other nodes)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        if node.module == "scipy":
+            return [f"scipy.{alias.name}" for alias in node.names]
+        return [node.module]
+    return []
+
+
+@rule(
+    "RPR306",
+    "heavy-scipy-import",
+    "no scipy.stats or scipy.optimize import anywhere in the package",
+)
+def check_heavy_scipy_imports(ctx) -> List:
+    findings = []
+    if not ctx.config.path_matches(ctx.path, ("repro/*",)):
+        return findings
+    for node in ast.walk(ctx.tree):
+        for module in _imported_modules(node):
+            banned = _banned_scipy_module(module)
+            if banned is None:
+                continue
+            findings.append(
+                ctx.finding(
+                    node,
+                    "RPR306",
+                    f"import of {banned} adds about a second to every process "
+                    "start (lazy imports only move it into the run); the package "
+                    "loads scipy.special only — use coding.theory._brentq or "
+                    "scipy.special.betainc",
+                )
+            )
     return findings

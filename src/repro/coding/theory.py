@@ -20,18 +20,24 @@ the first step of that chain:
   bound used by the retransmission policies.
 
 All probabilities are per-bit unless stated otherwise.
+
+Only :mod:`scipy.special` is imported: the root search is a port of SciPy's
+``brentq`` and the binomial tail is the regularised incomplete beta
+function, both bit-identical to the ``scipy.optimize`` / ``scipy.stats``
+routines they replace, which would otherwise dominate the package's import
+time (see ``docs/ARCHITECTURE.md``, "The import floor").
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Protocol
+import operator
+import sys
+from typing import Callable, Protocol
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import comb
-from scipy.stats import binom
+from scipy.special import betainc
 
 from ..exceptions import ConfigurationError
 
@@ -48,6 +54,9 @@ __all__ = [
 
 #: Entries kept by the process-wide Eq. 2 root memo (one per ``(n, t, target)``).
 RAW_BER_ROOT_CACHE_SIZE = 4096
+
+#: Smallest relative tolerance :func:`_brentq` accepts (SciPy's ``4 * eps``).
+_BRENTQ_MIN_RTOL = 4 * sys.float_info.epsilon
 
 
 class _CodeLike(Protocol):
@@ -115,10 +124,34 @@ def coded_ber_bounded_distance(
     n = block_length
     t = correctable_errors
     total = 0.0
-    for i in range(t + 1, n + 1):
+    for i, binomial in _binomial_coefficients(n, t + 1):
         weight = min(i + t, n)
-        total += weight * comb(n, i, exact=True) * (p ** i) * ((1.0 - p) ** (n - i))
+        total += _binomial_term(weight * binomial, p, i, n)
     return float(total / n)
+
+
+def _binomial_coefficients(n: int, start: int):
+    """``(i, C(n, i))`` for ``i = start..n``, exact, by the multiplicative recurrence."""
+    binomial = math.comb(n, start)
+    for i in range(start, n + 1):
+        yield i, binomial
+        binomial = binomial * (n - i) // (i + 1)
+
+
+def _binomial_term(coefficient: int, p: float, i: int, n: int) -> float:
+    """``coefficient * p**i * (1-p)**(n-i)`` for an exact integer ``coefficient``.
+
+    Evaluated directly, in the historical operation order, whenever the
+    coefficient converts to a float.  Past ``n`` of about 1030 it does not
+    (``C(n, i)`` exceeds the double range), and only those terms are taken
+    through log space; the term itself is a binomial probability times a
+    weight of at most ``n``, so it is always representable.
+    """
+    try:
+        return coefficient * (p ** i) * ((1.0 - p) ** (n - i))
+    except OverflowError:
+        log_q = math.log1p(-p) if p < 1.0 else -math.inf
+        return math.exp(math.log(coefficient) + i * math.log(p) + (n - i) * log_q)
 
 
 def output_ber(code: _CodeLike, raw_ber: float) -> float:
@@ -165,7 +198,7 @@ def _raw_ber_root(n: int, t: int, target_ber: float) -> float:
     The post-decoding BER depends only on the block length and the number of
     correctable errors, so every code with the same ``(n, t)`` — and every
     designer, shard and drift-margin derating in the process — shares one
-    ``brentq`` per target.  The cache is bounded because the service accepts
+    :func:`_brentq` per target.  The cache is bounded because the service accepts
     arbitrary target BERs.
     """
 
@@ -183,8 +216,87 @@ def _raw_ber_root(n: int, t: int, target_ber: float) -> float:
     # Shrink the upper bracket until the objective is positive there.
     while objective(high) < 0 and high < 0.499:
         high = min(0.499, high * 1.2)
-    root = brentq(objective, low, high, xtol=1e-18, rtol=1e-12)
+    root = _brentq(objective, low, high, xtol=1e-18, rtol=1e-12)
     return float(root)
+
+
+def _brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = _BRENTQ_MIN_RTOL,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of SciPy's ``Zeros/brentq.c`` behind the argument
+    checks of ``scipy.optimize.brentq``: the same floating-point operations
+    in the same order, so every root is bit-identical to SciPy's, and the
+    same errors — ``ValueError`` for a bad tolerance, a NaN from ``f`` or a
+    bracket whose ends share a sign, ``RuntimeError`` when ``maxiter``
+    iterations do not converge.  Kept here so importing the package does not
+    import ``scipy.optimize``.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_MIN_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_MIN_RTOL:g})")
+
+    def evaluate(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = evaluate(xpre)
+    fcur = evaluate(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Interpolate (secant step).
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Extrapolate (inverse quadratic step).
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # Good short step.
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = evaluate(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def block_error_probability(
@@ -205,10 +317,12 @@ def block_error_probability(
     probability the probabilistic mode of :mod:`repro.netsim` samples packet
     outcomes from.
 
-    Evaluated through the binomial survival function rather than
-    ``1 - head-sum``, so deep operating points (raw BERs of 1e-7 and below,
-    where the tail drops under double-precision epsilon of 1) keep their
-    relative accuracy instead of cancelling to zero.
+    Evaluated as the regularised incomplete beta function,
+    ``P(X > t) = I_p(t + 1, n - t)``, rather than ``1 - head-sum``, so deep
+    operating points (raw BERs of 1e-7 and below, where the tail drops under
+    double-precision epsilon of 1) keep their relative accuracy instead of
+    cancelling to zero.  ``betainc`` is the Boost ``ibeta`` routine that
+    ``scipy.stats.binom.sf`` reaches too, so the two agree bit for bit.
     """
     if not 0.0 <= raw_ber <= 1.0:
         raise ConfigurationError("raw BER must lie in [0, 1]")
@@ -220,8 +334,10 @@ def block_error_probability(
     if p == 0.0:
         return 0.0
     n = block_length
-    t = min(correctable_errors, n)
-    return float(min(1.0, max(0.0, binom.sf(t, n, p))))
+    t = correctable_errors
+    if t >= n:
+        return 0.0
+    return float(min(1.0, max(0.0, betainc(t + 1, n - t, p))))
 
 
 def undetected_error_probability_upper_bound(
@@ -245,6 +361,6 @@ def undetected_error_probability_upper_bound(
     if p == 0.0:
         return 0.0
     total = 0.0
-    for i in range(minimum_distance, block_length + 1):
-        total += comb(block_length, i, exact=True) * (p ** i) * ((1.0 - p) ** (block_length - i))
+    for i, binomial in _binomial_coefficients(block_length, minimum_distance):
+        total += _binomial_term(binomial, p, i, block_length)
     return float(min(1.0, total))

@@ -263,3 +263,47 @@ class TestRawPersistence:
             os.replace(temp, path)
         """
         assert codes(source, path=path) == []
+
+
+class TestHeavyScipyImports:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import scipy.stats",
+            "import scipy.optimize as opt",
+            "import scipy.stats.distributions",
+            "from scipy.stats import binom",
+            "from scipy.optimize import brentq as root_search",
+            "from scipy.optimize._zeros_py import brentq",
+            "from scipy import stats",
+            "from scipy import optimize, special",
+        ],
+    )
+    def test_banned_imports_are_flagged(self, statement):
+        assert codes(statement) == ["RPR306"]
+
+    def test_lazy_imports_are_flagged(self):
+        source = """
+        def tail(k, n, p):
+            from scipy.stats import binom
+            return binom.sf(k, n, p)
+        def root(f, a, b):
+            import scipy.optimize
+            return scipy.optimize.brentq(f, a, b)
+        """
+        assert codes(source) == ["RPR306", "RPR306"]
+
+    def test_light_scipy_and_lookalikes_are_fine(self):
+        source = """
+        import scipy.special
+        from scipy.special import betainc, erfc
+        from scipy import special
+        import scipy.statsmodels_shim
+        from .stats import summary
+        from repro.obs import stats
+        """
+        assert codes(source) == []
+
+    @pytest.mark.parametrize("path", ["tests/coding/test_theory_parity.py", "e2ebench/run.py"])
+    def test_code_outside_the_package_is_not_checked(self, path):
+        assert codes("from scipy.stats import binom", path=path) == []

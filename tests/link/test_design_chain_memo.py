@@ -164,7 +164,7 @@ class TestDesignChainWorkCount:
     @pytest.fixture
     def counters(self, monkeypatch, cold_memos):
         counts = {"root_searches": 0, "crosstalk_scans": 0}
-        original_brentq = theory.brentq
+        original_brentq = theory._brentq
         original_scan = CrosstalkModel.worst_case_ratio
 
         def counting_brentq(*args, **kwargs):
@@ -175,7 +175,7 @@ class TestDesignChainWorkCount:
             counts["crosstalk_scans"] += 1
             return original_scan(model)
 
-        monkeypatch.setattr(theory, "brentq", counting_brentq)
+        monkeypatch.setattr(theory, "_brentq", counting_brentq)
         monkeypatch.setattr(CrosstalkModel, "worst_case_ratio", counting_scan)
         return counts
 

@@ -118,6 +118,12 @@ class TestValidation:
         status, payload, _ = _get(context, "/design", query)
         assert status == 200 and payload["cached"] is True
 
+    def test_design_query_solves_a_long_code(self, context):
+        # n = 1023: the bounded-distance sum's binomials exceed the float range.
+        query = {"code": "BCH(10,2)", "target_ber": "1e-11"}
+        status, payload, _ = _get(context, "/design", query)
+        assert status == 200 and payload["point"]["feasible"] is True
+
     def test_result_of_unfinished_job_is_409(self, context):
         status, payload, _ = _post(context, "/jobs", {"experiment": "table1"})
         job_id = payload["job_id"]
