@@ -354,48 +354,73 @@ def check_raw_persistence(ctx) -> List:
 #: which ``repro.coding.theory`` computes bit-identically without them.
 _BANNED_SCIPY_MODULES = ("scipy.stats", "scipy.optimize")
 
+#: ``scipy.special``'s package init costs ~0.2 s for three functions, so
+#: only the loader that skips it may import the package (RPR306).
+_SPECIAL_MODULE = "scipy.special"
+_SPECIAL_LOADER = ("repro/_special.py",)
 
-def _banned_scipy_module(module: str) -> Optional[str]:
-    """The banned subpackage ``module`` is or lies inside, else ``None``."""
-    for banned in _BANNED_SCIPY_MODULES:
-        if module == banned or module.startswith(banned + "."):
-            return banned
-    return None
+#: Calls that import the module named by their first argument.
+_DYNAMIC_IMPORTS = frozenset(
+    {"importlib.import_module", "importlib.__import__", "builtins.__import__", "__import__"}
+)
 
 
-def _imported_modules(node: ast.AST) -> List[str]:
-    """Dotted modules an import statement loads (none for other nodes)."""
+def _within(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def _imported_modules(ctx, node: ast.AST) -> List[str]:
+    """Dotted modules an import statement or a literal dynamic import loads."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom) and node.module and not node.level:
         if node.module == "scipy":
             return [f"scipy.{alias.name}" for alias in node.names]
         return [node.module]
+    if isinstance(node, ast.Call) and node.args:
+        target = ctx.imports.resolve_call(node.func) or dotted_name(node.func)
+        name = node.args[0]
+        if (
+            target in _DYNAMIC_IMPORTS
+            and isinstance(name, ast.Constant)
+            and isinstance(name.value, str)
+        ):
+            return [name.value]
     return []
+
+
+def _scipy_import_message(module: str, special_allowed: bool) -> Optional[str]:
+    """Why importing ``module`` breaks the import floor, else ``None``."""
+    for banned in _BANNED_SCIPY_MODULES:
+        if _within(module, banned):
+            return (
+                f"import of {banned} adds about a second to every process start "
+                "(lazy imports only move it into the run); use coding.theory._brentq "
+                "or coding.theory.block_error_probability"
+            )
+    if _within(module, _SPECIAL_MODULE) and not special_allowed:
+        return (
+            "import of the scipy.special package runs its __init__, about 0.2 s "
+            "of every process start; take erfc, erfcinv and betainc from "
+            "repro._special"
+        )
+    return None
 
 
 @rule(
     "RPR306",
     "heavy-scipy-import",
-    "no scipy.stats or scipy.optimize import anywhere in the package",
+    "no scipy.stats or scipy.optimize import anywhere in the package, and "
+    "scipy.special only through repro._special",
 )
 def check_heavy_scipy_imports(ctx) -> List:
     findings = []
     if not ctx.config.path_matches(ctx.path, ("repro/*",)):
         return findings
+    special_allowed = ctx.config.path_matches(ctx.path, _SPECIAL_LOADER)
     for node in ast.walk(ctx.tree):
-        for module in _imported_modules(node):
-            banned = _banned_scipy_module(module)
-            if banned is None:
-                continue
-            findings.append(
-                ctx.finding(
-                    node,
-                    "RPR306",
-                    f"import of {banned} adds about a second to every process "
-                    "start (lazy imports only move it into the run); the package "
-                    "loads scipy.special only — use coding.theory._brentq or "
-                    "scipy.special.betainc",
-                )
-            )
+        for module in _imported_modules(ctx, node):
+            message = _scipy_import_message(module, special_allowed)
+            if message is not None:
+                findings.append(ctx.finding(node, "RPR306", message))
     return findings

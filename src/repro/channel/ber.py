@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
+from .._special import erfc, erfcinv
 from ..coding.theory import raw_ber_for_target_output_ber
 from ..exceptions import ConfigurationError
 from ..units import linear_to_db
@@ -44,7 +44,8 @@ def raw_ber_from_snr(snr: float | np.ndarray) -> float | np.ndarray:
     Implements paper Eq. 3: ``p = 0.5 * erfc(sqrt(SNR))``.
     """
     snr_arr = np.asarray(snr, dtype=float)
-    if np.any(snr_arr < 0):
+    # Written to accept only in-range values, so NaN is rejected too.
+    if not np.all(snr_arr >= 0):
         raise ConfigurationError("SNR must be non-negative")
     result = 0.5 * erfc(np.sqrt(snr_arr))
     if np.isscalar(snr):
@@ -59,7 +60,7 @@ def snr_from_ber(ber: float | np.ndarray) -> float | np.ndarray:
     ``SNR = [erfc^-1(2 * BER)]^2``.
     """
     ber_arr = np.asarray(ber, dtype=float)
-    if np.any(ber_arr <= 0) or np.any(ber_arr >= 0.5):
+    if not np.all((ber_arr > 0) & (ber_arr < 0.5)):
         raise ConfigurationError("BER must lie in (0, 0.5) for the SNR to be defined")
     result = erfcinv(2.0 * ber_arr) ** 2
     if np.isscalar(ber):
@@ -93,6 +94,6 @@ def snr_margin_db(actual_snr: float, required: float) -> float:
     Positive margins mean the link is over-provisioned; the runtime manager
     uses this to decide how far the laser power can be scaled down.
     """
-    if actual_snr <= 0 or required <= 0:
+    if not (actual_snr > 0 and required > 0):
         raise ConfigurationError("SNR values must be positive to compute a margin")
     return float(linear_to_db(actual_snr / required))

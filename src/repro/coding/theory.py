@@ -21,11 +21,13 @@ the first step of that chain:
 
 All probabilities are per-bit unless stated otherwise.
 
-Only :mod:`scipy.special` is imported: the root search is a port of SciPy's
-``brentq`` and the binomial tail is the regularised incomplete beta
-function, both bit-identical to the ``scipy.optimize`` / ``scipy.stats``
-routines they replace, which would otherwise dominate the package's import
-time (see ``docs/ARCHITECTURE.md``, "The import floor").
+The only SciPy function used is ``betainc``, taken from
+:mod:`repro._special` (the compiled ufunc, without ``scipy.special``'s
+package init): the root search is a port of SciPy's ``brentq`` and the
+binomial tail is the regularised incomplete beta function, both
+bit-identical to the ``scipy.optimize`` / ``scipy.stats`` routines they
+replace, which would otherwise dominate the package's import time (see
+``docs/ARCHITECTURE.md``, "The import floor").
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import sys
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.special import betainc
 
+from .._special import betainc
 from ..exceptions import ConfigurationError
 
 __all__ = [

@@ -123,19 +123,19 @@ def q_function(x: float | np.ndarray) -> float | np.ndarray:
 
     Used by the OOK receiver model: the raw bit error probability of an
     on-off-keyed link with decision threshold midway between levels is
-    ``Q(sqrt(SNR))`` which equals ``0.5 * erfc(sqrt(SNR / 2)) `` for the
+    ``Q(sqrt(SNR))`` which equals ``0.5 * erfc(sqrt(SNR / 2))`` for the
     amplitude-SNR convention; the paper uses the power-SNR convention
     ``p = 0.5 * erfc(sqrt(SNR))`` which this library follows (see
     :mod:`repro.channel.ber`).
     """
-    from scipy.special import erfc
+    from ._special import erfc
 
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def inverse_q_function(p: float) -> float:
     """Inverse of :func:`q_function` for scalar probabilities in (0, 1)."""
-    from scipy.special import erfcinv
+    from ._special import erfcinv
 
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")

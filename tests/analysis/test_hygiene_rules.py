@@ -276,11 +276,24 @@ class TestHeavyScipyImports:
             "from scipy.optimize import brentq as root_search",
             "from scipy.optimize._zeros_py import brentq",
             "from scipy import stats",
-            "from scipy import optimize, special",
+            "from scipy import optimize, constants",
+            "import scipy.special",
+            "import scipy.special._ufuncs",
+            "from scipy.special import betainc, erfc",
+            "from scipy.special._ufuncs import erfcinv",
+            "from scipy import special",
+            "from scipy import special as sp",
+            "import importlib; importlib.import_module('scipy.stats')",
+            "from importlib import import_module; import_module('scipy.optimize._zeros_py')",
+            "__import__('scipy.optimize')",
+            "import builtins; builtins.__import__('scipy.special')",
         ],
     )
     def test_banned_imports_are_flagged(self, statement):
         assert codes(statement) == ["RPR306"]
+
+    def test_each_banned_module_of_one_statement_is_flagged(self):
+        assert codes("from scipy import optimize, special, stats") == ["RPR306"] * 3
 
     def test_lazy_imports_are_flagged(self):
         source = """
@@ -290,19 +303,62 @@ class TestHeavyScipyImports:
         def root(f, a, b):
             import scipy.optimize
             return scipy.optimize.brentq(f, a, b)
+        def q(x):
+            from scipy.special import erfc
+            return erfc(x)
         """
-        assert codes(source) == ["RPR306", "RPR306"]
+        assert codes(source) == ["RPR306", "RPR306", "RPR306"]
 
     def test_light_scipy_and_lookalikes_are_fine(self):
         source = """
-        import scipy.special
-        from scipy.special import betainc, erfc
-        from scipy import special
+        import scipy
+        from scipy import constants
         import scipy.statsmodels_shim
+        import scipy.special_shim
         from .stats import summary
         from repro.obs import stats
+        from repro._special import betainc, erfc, erfcinv
+        from ._special import erfc
         """
         assert codes(source) == []
+
+    def test_dynamic_imports_of_computed_or_light_names_are_fine(self):
+        source = """
+        import importlib
+        name = "scipy." + "stats"
+        importlib.import_module(name)
+        importlib.import_module("repro.coding.theory")
+        __import__("scipy")
+        loader.import_module("scipy.stats")
+        """
+        assert codes(source) == []
+
+    def test_the_special_loader_may_import_scipy_special(self):
+        source = """
+        import importlib
+        def load():
+            return importlib.import_module("scipy.special._ufuncs")
+        def fallback():
+            from scipy.special import betainc, erfc, erfcinv
+            return erfc, erfcinv, betainc
+        """
+        assert codes(source, path="repro/_special.py") == []
+
+    def test_the_special_loader_may_not_import_stats_or_optimize(self):
+        source = """
+        import importlib
+        importlib.import_module("scipy.stats")
+        from scipy.optimize import brentq
+        """
+        assert codes(source, path="repro/_special.py") == ["RPR306", "RPR306"]
+
+    def test_messages_name_the_replacement(self):
+        special, stats = lint_source(
+            "from scipy.special import erfc\nimport scipy.stats\n", path=COLD_PATH
+        )
+        assert "repro._special" in special.message
+        assert "scipy.special.betainc" not in stats.message
+        assert "coding.theory" in stats.message
 
     @pytest.mark.parametrize("path", ["tests/coding/test_theory_parity.py", "e2ebench/run.py"])
     def test_code_outside_the_package_is_not_checked(self, path):

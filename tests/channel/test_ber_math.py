@@ -38,6 +38,11 @@ class TestEquationThree:
         with pytest.raises(ConfigurationError):
             raw_ber_from_snr(-1.0)
 
+    @pytest.mark.parametrize("snr", [np.nan, np.array([1.0, np.nan])])
+    def test_rejects_nan_snr(self, snr):
+        with pytest.raises(ConfigurationError):
+            raw_ber_from_snr(snr)
+
 
 class TestEquationOneInversion:
     @pytest.mark.parametrize("ber", [1e-3, 1e-6, 1e-9, 1e-11, 1e-12, 1e-15])
@@ -56,6 +61,11 @@ class TestEquationOneInversion:
             snr_from_ber(0.0)
         with pytest.raises(ConfigurationError):
             snr_from_ber(0.5)
+
+    @pytest.mark.parametrize("ber", [np.nan, np.array([1e-9, np.nan])])
+    def test_rejects_nan_ber(self, ber):
+        with pytest.raises(ConfigurationError):
+            snr_from_ber(ber)
 
 
 class TestRequiredSnrWithCodes:
@@ -99,3 +109,8 @@ class TestSnrMargin:
             snr_margin_db(0.0, 10.0)
         with pytest.raises(ConfigurationError):
             snr_margin_db(10.0, 0.0)
+
+    @pytest.mark.parametrize("actual, required", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan(self, actual, required):
+        with pytest.raises(ConfigurationError):
+            snr_margin_db(actual, required)
